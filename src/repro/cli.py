@@ -28,6 +28,7 @@ from repro.core import SystemMode, build_system
 from repro.core.runtime import spec_for
 from repro.experiments.report import REPORT_FIGURES as _FIGURES
 from repro.experiments.report import REPORT_TABLES as _TABLES
+from repro.experiments.wallclock import available_scenarios
 from repro.popcorn.elf import dump_xelf
 from repro.workloads import PAPER_BENCHMARKS, available_workloads, profile_for
 
@@ -119,6 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="time seeded figure-style scenarios (wall clock, events/sec)",
     )
     bench.add_argument("--scenarios", nargs="+", default=None,
+                       choices=available_scenarios(), metavar="SCENARIO",
                        help="scenario names (default: all; see --list)")
     bench.add_argument("--list", action="store_true", dest="list_scenarios",
                        help="list available scenarios and exit")
@@ -245,8 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="static background processes on the x86 host")
     cohort.add_argument("--seed", type=int, default=0)
     cohort.add_argument("--reference", action="store_true",
-                        help="force the per-client reference path "
-                        "(also: REPRO_COHORT_REFERENCE=1)")
+                        help="force the per-client reference path")
     cohort.add_argument("--verify", action="store_true",
                         help="run both paths and assert bit-identical "
                         "per-client results (the differential oracle)")
@@ -705,11 +706,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.wallclock import (
-        available_scenarios,
-        guard_events_per_sec,
-        run_bench,
-    )
+    from repro.experiments.wallclock import guard_events_per_sec, run_bench
 
     if args.list_scenarios:
         for name in available_scenarios():

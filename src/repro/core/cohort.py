@@ -50,12 +50,11 @@ fallback counter. Faults on calls decided to a CPU target are no-ops.
 
 Bit-identity requires the run to start at simulated time 0.0 (so that
 ``0.0 + a == a`` exactly); :meth:`CohortPopulation.run` asserts this.
-Set ``REPRO_COHORT_REFERENCE=1`` to force the per-client path.
+Pass ``vectorized=False`` to force the per-client path.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -80,9 +79,6 @@ __all__ = [
     "record_cohort_run",
     "sample_arrivals",
 ]
-
-#: Environment variable that forces the per-client reference path.
-REFERENCE_ENV = "REPRO_COHORT_REFERENCE"
 
 #: Algorithm 2 rule names, in the fixed order used for rule codes.
 RULES = ("x86", "x86+reconfig", "arm", "arm+reconfig", "fpga", "arm-over-fpga")
@@ -475,11 +471,11 @@ class CohortPopulation:
     ) -> CohortRunResult:
         """Simulate the whole population; return per-client results.
 
-        ``vectorized=None`` picks the fast path unless
-        ``REPRO_COHORT_REFERENCE`` is set in the environment.
+        ``vectorized=None`` picks the fast path; ``False`` forces the
+        per-client reference path.
         """
         if vectorized is None:
-            vectorized = not os.environ.get(REFERENCE_ENV)
+            vectorized = True
         if sim is None:
             sim = Simulator()
         if sim.now != 0.0:

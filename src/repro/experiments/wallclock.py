@@ -312,17 +312,13 @@ def _scenario_scale_stress(seed: int, quick: bool, ctx: BenchContext):
         "x86_mean_load": round(snapshot["x86"]["time_weighted_mean"], 2),
         "x86_max_load": snapshot["x86"]["max"],
     }
-    if not quick:
-        # Deferred (runs after the timed window — see run_scenario):
-        # the queue-implementation head-to-head backing DEFAULT_QUEUE.
-        extra["queue_eval"] = lambda: _queue_eval(seed)
     return sim.events_processed, sim.now, lines, extra
 
 
 def _scale_workload(seed: int, n_clients: int, background: int):
     """The scale_stress workload body: N staggered XAR_TREK clients over
     the full benchmark pool on one deployment. Returns (runtime,
-    records); shared by the timed scenario and the queue head-to-head.
+    records).
     """
     from repro.workloads import PAPER_BENCHMARKS
 
@@ -348,74 +344,15 @@ def _scale_workload(seed: int, n_clients: int, background: int):
     return runtime, records
 
 
-def _queue_eval(seed: int, n_clients: int = 250, background: int = 25) -> dict:
-    """Head-to-head: the quick scale_stress shape under each pending-
-    event queue implementation.
-
-    This is the standing evaluation behind
-    :data:`repro.sim.engine.DEFAULT_QUEUE`: every full bench re-runs
-    it and records both walls, the winner, and whether the two queues
-    produced byte-identical run records (they must — popping in
-    identical ``(at, seq)`` order is a tested contract). If the
-    calendar queue starts winning here, flip DEFAULT_QUEUE.
-    """
-    from repro.sim.engine import DEFAULT_QUEUE, QUEUE_ENV
-
-    walls: dict[str, float] = {}
-    lines: dict[str, list[str]] = {}
-    for queue in ("heap", "calendar"):
-        previous = os.environ.get(QUEUE_ENV)
-        os.environ[QUEUE_ENV] = queue
-        try:
-            started = time.perf_counter()
-            _runtime, records = _scale_workload(seed, n_clients, background)
-            walls[queue] = round(time.perf_counter() - started, 6)
-            lines[queue] = _lines_for_records(records)
-        finally:
-            if previous is None:
-                os.environ.pop(QUEUE_ENV, None)
-            else:
-                os.environ[QUEUE_ENV] = previous
-    return {
-        "clients": n_clients,
-        "heap_wall_s": walls["heap"],
-        "calendar_wall_s": walls["calendar"],
-        "winner": min(walls, key=walls.get),
-        "default": DEFAULT_QUEUE,
-        "identical_outcomes": lines["heap"] == lines["calendar"],
-    }
-
-
-def _scenario_cohort_stress(seed: int, quick: bool, ctx: BenchContext):
-    """Cohort-vectorized fleet shape: 10k clients in O(cohorts) events.
-
-    The same deployment as ``scale_stress``, but the clients go through
-    :mod:`repro.core.cohort`: one numpy-backed cohort per (application,
-    arrival law) batch, advanced as a single simulator event per call
-    round. The headline rate divides *logical* client events (arrival,
-    host completion, each call, termination) by wall time — the whole
-    point of the vectorization is that this rate is decoupled from the
-    simulator's event count (``sim_events`` in the extra payload, a few
-    dozen). The per-client reference path (``REPRO_COHORT_REFERENCE=1``)
-    produces bit-identical checksums; the differential oracle suite in
-    ``tests/core/test_cohort_oracle.py`` enforces that continuously.
-
-    ``quick`` does not shrink this scenario: the vectorized run is
-    O(cohorts), already faster than every other scenario's quick leg,
-    and a smaller population would not be cheaper — it would only let
-    fixed setup costs (runtime build, arrival sampling) dominate the
-    tiny wall time, making the measured rate incomparable with the
-    committed full-size figure the CI guard checks against.
-    """
+def _cohort_specs(rng, apps, n_clients: int, calls: int) -> list:
+    """``n_clients`` split evenly over ``apps`` (the remainder goes to
+    the first), one cohort per app cycling through the uniform, poisson
+    and staggered arrival laws. Per app it draws the arrival start, then
+    the cohort seed, from ``rng``; the scenario checksums depend on that
+    order."""
     from repro.core.cohort import ArrivalLaw, CohortSpec
-    from repro.workloads import PAPER_BENCHMARKS
 
-    n_clients = 10_000
-    background = 50
-    calls = 5
-    apps = tuple(sorted(set(PAPER_BENCHMARKS)))
     laws = ("uniform", "poisson", "staggered")
-    rng = np.random.default_rng(seed)
     per_app = n_clients // len(apps)
     specs = []
     for index, app in enumerate(apps):
@@ -433,6 +370,36 @@ def _scenario_cohort_stress(seed: int, quick: bool, ctx: BenchContext):
                 seed=int(rng.integers(2**32)),
             )
         )
+    return specs
+
+
+def _scenario_cohort_stress(seed: int, quick: bool, ctx: BenchContext):
+    """Cohort-vectorized fleet shape: 10k clients in O(cohorts) events.
+
+    The same deployment as ``scale_stress``, but the clients go through
+    :mod:`repro.core.cohort`: one numpy-backed cohort per (application,
+    arrival law) batch, advanced as a single simulator event per call
+    round. The headline rate divides *logical* client events (arrival,
+    host completion, each call, termination) by wall time — the whole
+    point of the vectorization is that this rate is decoupled from the
+    simulator's event count (``sim_events`` in the extra payload, a few
+    dozen). The per-client reference path (``vectorized=False``)
+    produces bit-identical checksums; the differential oracle suite in
+    ``tests/core/test_cohort_oracle.py`` enforces that continuously.
+
+    ``quick`` does not shrink this scenario: the vectorized run is
+    O(cohorts), already faster than every other scenario's quick leg,
+    and a smaller population would not be cheaper — it would only let
+    fixed setup costs (runtime build, arrival sampling) dominate the
+    tiny wall time, making the measured rate incomparable with the
+    committed full-size figure the CI guard checks against.
+    """
+    from repro.workloads import PAPER_BENCHMARKS
+
+    n_clients = 10_000
+    background = 50
+    apps = tuple(sorted(set(PAPER_BENCHMARKS)))
+    specs = _cohort_specs(np.random.default_rng(seed), apps, n_clients, calls=5)
     runtime = build_system(apps, seed=seed)
     result = runtime.run_cohorts(specs, background=background)
     lines = [f"cohort_stress:{n_clients}:{background}"]
@@ -481,7 +448,6 @@ def _scenario_fleet_stress(seed: int, quick: bool, ctx: BenchContext):
     still exercised (two-worker floor, like report_sweep) and
     ``parallel_speedup <= 1.0`` is the honest expected outcome.
     """
-    from repro.core.cohort import ArrivalLaw, CohortSpec
     from repro.fleet import FleetConfig, FleetDeployment
     from repro.workloads import PAPER_BENCHMARKS
 
@@ -508,26 +474,7 @@ def _scenario_fleet_stress(seed: int, quick: bool, ctx: BenchContext):
         )
     records = fleet.wait_all(handles)
 
-    laws = ("uniform", "poisson", "staggered")
-    per_app = n_cohort_clients // len(apps)
-    specs = []
-    for index, app in enumerate(apps):
-        clients = per_app + (
-            n_cohort_clients - per_app * len(apps) if index == 0 else 0
-        )
-        specs.append(
-            CohortSpec(
-                app,
-                clients,
-                calls=4,
-                arrival=ArrivalLaw(
-                    laws[index % len(laws)],
-                    start=float(rng.uniform(0.0, 5.0)),
-                    span=30.0,
-                ),
-                seed=int(rng.integers(2**32)),
-            )
-        )
+    specs = _cohort_specs(rng, apps, n_cohort_clients, calls=4)
     started = time.perf_counter()
     cohorts = fleet.run_cohorts(specs, background=20, jobs=1)
     serial_wall = time.perf_counter() - started
@@ -578,6 +525,18 @@ def _scenario_fleet_stress(seed: int, quick: bool, ctx: BenchContext):
     return events, sim_seconds, lines, extra
 
 
+def _assert_parallel_matches(report, parallel, message: str) -> None:
+    """Raise ``AssertionError(message)`` unless two chaos reports agree
+    on every line and every field except the wall-clock ones and the
+    execution mode."""
+    serial_dict, parallel_dict = report.to_dict(), parallel.to_dict()
+    for volatile in ("wall_s", "baseline_wall_s", "events_per_sec", "mode"):
+        serial_dict.pop(volatile)
+        parallel_dict.pop(volatile)
+    if parallel.lines != report.lines or parallel_dict != serial_dict:
+        raise AssertionError(message)
+
+
 def _scenario_chaos_stress(seed: int, quick: bool, ctx: BenchContext):
     """Robustness shape: the scale_stress fleet under a seeded fault plan.
 
@@ -617,15 +576,12 @@ def _scenario_chaos_stress(seed: int, quick: bool, ctx: BenchContext):
     started = time.perf_counter()
     parallel = run_chaos(plan=default_plan(seed), seed=seed, quick=quick, jobs=2)
     parallel_wall = time.perf_counter() - started
-    serial_dict, parallel_dict = report.to_dict(), parallel.to_dict()
-    for volatile in ("wall_s", "baseline_wall_s", "events_per_sec", "mode"):
-        serial_dict.pop(volatile)
-        parallel_dict.pop(volatile)
-    if parallel.lines != report.lines or parallel_dict != serial_dict:
-        raise AssertionError(
-            "parallel chaos legs diverged from serial execution — the "
-            "per-leg determinism contract of repro.faults.harness is broken"
-        )
+    _assert_parallel_matches(
+        report,
+        parallel,
+        "parallel chaos legs diverged from serial execution — the "
+        "per-leg determinism contract of repro.faults.harness is broken",
+    )
     extra = {
         "clients": report.clients,
         "plan_faults": sum(report.plan_faults.values()),
@@ -759,10 +715,11 @@ def _scenario_flash_crowd(seed: int, quick: bool, ctx: BenchContext):
       SLO: it proves the spike is genuinely lethal and the protected
       leg's pass is the guard's doing, not a tame workload. Lethality
       is a property of the *committed* trace, so the assertion is
-      pinned to the bench's default seed; alternate seeds (the queue
-      differential runs every scenario at seed 5) still execute the
-      control leg and record its scores, they just don't demand a
-      violation from whatever crowd that seed happens to draw.
+      pinned to the bench's default seed; alternate seeds (the seed-3
+      replay test in ``tests/experiments/test_wallclock_bench.py``)
+      still execute the control leg and record its scores, they just
+      don't demand a violation from whatever crowd that seed happens
+      to draw.
 
     The protected harness also re-runs with its legs in two pool
     workers and must match the serial report byte for byte (shed
@@ -803,15 +760,12 @@ def _scenario_flash_crowd(seed: int, quick: bool, ctx: BenchContext):
         slo=slo, horizon_s=_FLASH_HORIZON_S,
     )
     parallel_wall = time.perf_counter() - started
-    serial_dict, parallel_dict = report.to_dict(), parallel.to_dict()
-    for volatile in ("wall_s", "baseline_wall_s", "events_per_sec", "mode"):
-        serial_dict.pop(volatile)
-        parallel_dict.pop(volatile)
-    if parallel.lines != report.lines or parallel_dict != serial_dict:
-        raise AssertionError(
-            "parallel flash_crowd legs diverged from serial execution — "
-            "shed decisions or SLO scores are not replay-stable"
-        )
+    _assert_parallel_matches(
+        report,
+        parallel,
+        "parallel flash_crowd legs diverged from serial execution — "
+        "shed decisions or SLO scores are not replay-stable",
+    )
 
     # The control leg: same trace, same faults, overload guard off.
     unprotected = run_chaos(
@@ -1081,14 +1035,6 @@ def run_scenario(
     wall_s = time.perf_counter() - started
     events, sim_seconds, lines = outcome[:3]
     extra = outcome[3] if len(outcome) > 3 else {}
-    # Deferred extras: a scenario that wants side measurements which
-    # must NOT bill to its own timed window (e.g. scale_stress's
-    # queue-implementation head-to-head) returns a zero-arg callable;
-    # it runs here, after the clock stopped, and its result replaces
-    # the callable in the payload.
-    for key, value in list(extra.items()):
-        if callable(value):
-            extra[key] = value()
     if profiler is not None:
         extra = dict(extra)
         extra["profile"] = _profile_table(profiler)

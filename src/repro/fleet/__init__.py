@@ -22,7 +22,6 @@ from repro.fleet.parallel import (
     FLEET_JOBS_ENV,
     NodeWork,
     NodeWorkResult,
-    fleet_parallel_threshold,
     resolve_fleet_jobs,
     run_node_work,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "NodeWork",
     "NodeWorkResult",
     "RouteOutcome",
-    "fleet_parallel_threshold",
     "node_seeds",
     "resolve_fleet_jobs",
     "run_node_work",

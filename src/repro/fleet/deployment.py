@@ -383,15 +383,14 @@ class FleetDeployment:
         byte-identical to serial; worker-side runs are replayed into
         each node's own metrics registry so the observability contract
         holds too. A multi-job call still runs serially below
-        ``min_nodes`` non-empty shards (default
-        :func:`~repro.fleet.parallel.fleet_parallel_threshold`; 0
-        forces the pool), mirroring ``run_cells``.
+        ``min_nodes`` non-empty shards (default 2; 0 forces the
+        pool), mirroring ``run_cells``.
         """
         from repro.core.cohort import record_cohort_run
         from repro.faults.cohort import resolve_cohort_faults
         from repro.fleet.parallel import (
+            _MIN_NODES,
             NodeWork,
-            fleet_parallel_threshold,
             resolve_fleet_jobs,
             run_node_work,
         )
@@ -410,7 +409,7 @@ class FleetDeployment:
                 )
 
         jobs = resolve_fleet_jobs(jobs)
-        threshold = fleet_parallel_threshold() if min_nodes is None else min_nodes
+        threshold = _MIN_NODES if min_nodes is None else min_nodes
         use_pool = jobs > 1 and work_nodes and len(work_nodes) >= threshold
         mode = "serial"
         workers = 1

@@ -33,7 +33,6 @@ stays the reference oracle (``tests/fleet/test_parallel.py``).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,10 +42,8 @@ from repro.thresholds import ThresholdTable
 
 __all__ = [
     "FLEET_JOBS_ENV",
-    "FLEET_MIN_NODES_ENV",
     "NodeWork",
     "NodeWorkResult",
-    "fleet_parallel_threshold",
     "resolve_fleet_jobs",
     "run_node_work",
 ]
@@ -55,13 +52,6 @@ __all__ = [
 #: explicit ``jobs`` is given (CI sets it to route the fleet suites
 #: through the worker pool).
 FLEET_JOBS_ENV = "REPRO_FLEET_JOBS"
-
-#: Environment variable overriding :func:`fleet_parallel_threshold` —
-#: the minimum number of non-empty node shards before a multi-job
-#: ``run_cohorts`` actually uses the process pool. ``0`` disables the
-#: serial fallback (tests use it to force even a 1-node fleet through
-#: a worker).
-FLEET_MIN_NODES_ENV = "REPRO_FLEET_MIN_NODES"
 
 #: Default pool-worthiness threshold, in non-empty node shards. A
 #: single node has nothing to overlap, so the pool only costs pickling
@@ -73,18 +63,6 @@ def resolve_fleet_jobs(jobs: Optional[int | str] = None) -> int:
     """Normalize the fleet ``--jobs`` value (``REPRO_FLEET_JOBS``
     fallback, default serial; 0 or ``"auto"`` means all CPUs)."""
     return resolve_jobs(jobs, env=FLEET_JOBS_ENV)
-
-
-def fleet_parallel_threshold() -> int:
-    """Minimum non-empty node shards for the pool to be worth using.
-
-    Defaults to 2; ``REPRO_FLEET_MIN_NODES`` overrides it outright
-    (``0`` disables the serial fallback entirely).
-    """
-    raw = os.environ.get(FLEET_MIN_NODES_ENV)
-    if raw is not None:
-        return max(0, int(raw))
-    return _MIN_NODES
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,8 @@ Provides the event loop (:class:`Simulator`), generator-based processes
 structured tracing (:class:`Tracer`).
 """
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.engine import (
     Event,
-    HeapEventQueue,
     Interrupt,
     PeriodicCall,
     SimulationError,
@@ -23,9 +21,7 @@ from repro.sim.tracing import TraceRecord, Tracer
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Event",
-    "HeapEventQueue",
     "Interrupt",
     "PeriodicCall",
     "Process",

@@ -12,76 +12,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from typing import Any, Callable, Iterable, Optional
 
 __all__ = [
     "Event",
-    "HeapEventQueue",
     "Interrupt",
     "PeriodicCall",
     "SimulationError",
     "Simulator",
 ]
-
-#: Environment variable selecting the event-queue implementation for
-#: simulators constructed without an explicit ``queue`` ("heap" or
-#: "calendar"; see :mod:`repro.sim.calendar`).
-QUEUE_ENV = "REPRO_EVENT_QUEUE"
-
-#: Default queue when ``REPRO_EVENT_QUEUE`` is unset. The heap wins the
-#: head-to-head evaluation the ``scale_stress`` bench scenario runs on
-#: every full bench (see ``queue_eval`` in its extra payload): the
-#: calendar queue's insort/scan constants sit above heapq's C
-#: implementation at this workload's queue depths, so it stays the
-#: evaluated alternative rather than the default.
-DEFAULT_QUEUE = "heap"
-
-#: Environment variable disabling deferred-record recycling ("0" turns
-#: the free list off; every :meth:`Simulator.defer` then allocates a
-#: fresh record — the pre-recycling allocation path kept for
-#: differential testing).
-RECYCLE_ENV = "REPRO_EVENT_RECYCLE"
-
-
-class HeapEventQueue(list):
-    """The default pending-event queue: a binary heap of
-    ``(at, seq, event)`` tuples.
-
-    Subclasses ``list`` so the simulator's hot loop keeps native
-    truthiness/len checks; the three-method interface (``push``,
-    ``pop``, ``peek_time``) is what any alternative queue — e.g. the
-    calendar queue in :mod:`repro.sim.calendar` — must provide, and
-    both must pop in identical ``(at, seq)`` order (a tested contract).
-    """
-
-    __slots__ = ()
-
-    def push(self, at: float, seq: int, event: "Event") -> None:
-        heapq.heappush(self, (at, seq, event))
-
-    def pop(self) -> tuple:
-        return heapq.heappop(self)
-
-    def peek_time(self) -> Optional[float]:
-        return self[0][0] if self else None
-
-
-def _default_queue():
-    choice = os.environ.get(QUEUE_ENV, DEFAULT_QUEUE)
-    if choice == "calendar":
-        from repro.sim.calendar import CalendarQueue
-
-        return CalendarQueue()
-    if choice in ("", "heap"):
-        return HeapEventQueue()
-    raise SimulationError(
-        f"unknown {QUEUE_ENV} value {choice!r}; expected 'heap' or 'calendar'"
-    )
-
-
-def _default_recycle() -> bool:
-    return os.environ.get(RECYCLE_ENV, "1") != "0"
 
 
 class SimulationError(Exception):
@@ -149,8 +88,7 @@ class Event:
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``.
 
-        The trigger/enqueue/push chain is inlined for the default heap
-        queue — one frame instead of four on a path the profile shows
+        The trigger/enqueue chain is inlined on a path the profile shows
         runs once per event the simulation ever schedules.
         """
         if self._state != Event.PENDING:
@@ -159,11 +97,7 @@ class Event:
         self._value = value
         self._state = Event.TRIGGERED
         sim = self.sim
-        queue = sim._queue
-        if type(queue) is HeapEventQueue:
-            heapq.heappush(queue, (sim.now, next(sim._seq), self))
-        else:
-            queue.push(sim.now, next(sim._seq), self)
+        heapq.heappush(sim._queue, (sim.now, next(sim._seq), self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -346,13 +280,14 @@ class Simulator:
         "deferred_reuses",
     )
 
-    def __init__(self, queue=None, recycle: Optional[bool] = None):
-        """``queue`` swaps the pending-event container (default: a
-        :class:`HeapEventQueue`, or what ``REPRO_EVENT_QUEUE`` names).
-        ``recycle`` toggles the :meth:`defer` free list (default: on,
-        unless ``REPRO_EVENT_RECYCLE=0``)."""
+    def __init__(self, recycle: bool = True):
+        """``recycle=False`` turns off the :meth:`defer` free list, so
+        every deferred call allocates a fresh record — the allocation
+        path kept as a differential-testing reference."""
         self.now: float = 0.0
-        self._queue = queue if queue is not None else _default_queue()
+        #: Binary heap of ``(at, seq, event)`` tuples; ``seq`` breaks
+        #: timestamp ties in schedule order.
+        self._queue: list = []
         self._seq = itertools.count()
         self._active_process = None  # set by Process while running
         #: Events processed so far; the wall-clock bench harness divides
@@ -362,13 +297,13 @@ class Simulator:
         #: exposing its effectiveness (tested: a long run must mostly
         #: reuse rather than allocate).
         self._free: list = []
-        self._recycle = _default_recycle() if recycle is None else recycle
+        self._recycle = recycle
         self.deferred_allocations: int = 0
         self.deferred_reuses: int = 0
 
     # -- scheduling primitives ----------------------------------------------
     def _enqueue(self, at: float, event: Event) -> None:
-        self._queue.push(at, next(self._seq), event)
+        heapq.heappush(self._queue, (at, next(self._seq), event))
 
     def event(self) -> Event:
         """Create a fresh, untriggered event."""
@@ -412,11 +347,7 @@ class Simulator:
             self.deferred_allocations += 1
         record._fn = fn
         record._arg = arg
-        queue = self._queue
-        if type(queue) is HeapEventQueue:
-            heapq.heappush(queue, (self.now + delay, next(self._seq), record))
-        else:
-            queue.push(self.now + delay, next(self._seq), record)
+        heapq.heappush(self._queue, (self.now + delay, next(self._seq), record))
 
     def call_every(
         self,
@@ -448,13 +379,14 @@ class Simulator:
     # -- execution -----------------------------------------------------------
     def peek(self) -> Optional[float]:
         """Time of the next scheduled event, or ``None`` if queue empty."""
-        return self._queue.peek_time()
+        queue = self._queue
+        return queue[0][0] if queue else None
 
     def step(self) -> None:
         """Process exactly one event."""
         if not self._queue:
             raise SimulationError("step() on an empty queue")
-        at, _seq, event = self._queue.pop()
+        at, _seq, event = heapq.heappop(self._queue)
         self.now = at
         self.events_processed += 1
         event._process()
@@ -465,37 +397,24 @@ class Simulator:
         When ``until`` is given, time is advanced to exactly ``until``
         even if the last event fires earlier.
 
-        The drain loop is specialised for the default heap queue:
-        ``heappop`` is called directly on the list subclass instead of
-        going through ``step()``'s method dispatch, which is worth ~15%
-        of kernel time on event-dense scenarios.
+        The drain loop calls ``heappop`` directly instead of going
+        through ``step()``, which is worth ~15% of kernel time on
+        event-dense scenarios.
         """
         if until is not None and until < self.now:
             raise SimulationError(f"run(until={until}) is in the past (now={self.now})")
         queue = self._queue
-        if type(queue) is HeapEventQueue:
-            pop = heapq.heappop
-            processed = 0
-            try:
-                if until is None:
-                    while queue:
-                        at, _seq, event = pop(queue)
-                        self.now = at
-                        processed += 1
-                        event._process()
-                else:
-                    while queue and queue[0][0] <= until:
-                        at, _seq, event = pop(queue)
-                        self.now = at
-                        processed += 1
-                        event._process()
-            finally:
-                self.events_processed += processed
-        else:
-            while queue:
-                if until is not None and queue.peek_time() > until:
-                    break
-                self.step()
+        pop = heapq.heappop
+        horizon = float("inf") if until is None else until
+        processed = 0
+        try:
+            while queue and queue[0][0] <= horizon:
+                at, _seq, event = pop(queue)
+                self.now = at
+                processed += 1
+                event._process()
+        finally:
+            self.events_processed += processed
         if until is not None:
             self.now = max(self.now, until)
 
@@ -507,24 +426,18 @@ class Simulator:
         """
         event.defused = True
         queue = self._queue
-        if type(queue) is HeapEventQueue:
-            pop = heapq.heappop
-            processed = 0
-            try:
-                while event._state != Event.PROCESSED:
-                    if not queue:
-                        raise SimulationError("simulation ended before event triggered")
-                    at, _seq, pending = pop(queue)
-                    self.now = at
-                    processed += 1
-                    pending._process()
-            finally:
-                self.events_processed += processed
-        else:
-            while not event.processed:
+        pop = heapq.heappop
+        processed = 0
+        try:
+            while event._state != Event.PROCESSED:
                 if not queue:
                     raise SimulationError("simulation ended before event triggered")
-                self.step()
+                at, _seq, pending = pop(queue)
+                self.now = at
+                processed += 1
+                pending._process()
+        finally:
+            self.events_processed += processed
         if not event._ok:
             raise event._value
         return event._value

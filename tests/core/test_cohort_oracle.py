@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.core import build_system
 from repro.core.cohort import (
-    REFERENCE_ENV,
     RULES,
     ArrivalLaw,
     CohortError,
@@ -369,14 +368,6 @@ class TestValidation:
         assert sim.now == 1.0
         with pytest.raises(CohortError, match="time 0.0"):
             population.run(sim=sim)
-
-    def test_reference_env_forces_per_client_path(self, monkeypatch):
-        specs = [CohortSpec("digit.500", 3, calls=1)]
-        table = _table_for(["digit.500"])
-        monkeypatch.setenv(REFERENCE_ENV, "1")
-        assert CohortPopulation(specs, thresholds=table).run().path == "reference"
-        monkeypatch.delenv(REFERENCE_ENV)
-        assert CohortPopulation(specs, thresholds=table).run().path == "vectorized"
 
 
 class TestMetricsRecording:

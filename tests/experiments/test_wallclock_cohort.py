@@ -6,7 +6,7 @@ events/sec headline computed over *logical* client events. These tests
 mirror the ``scale_stress`` coverage — same-seed replay must be
 byte-identical, the extra payload must expose the shape the scenario
 promises — plus the property the scenario exists to defend: the
-per-client reference path (``REPRO_COHORT_REFERENCE=1``) produces the
+per-client reference path (``vectorized=False``) produces the
 identical checksum, so a vectorization bug can never hide behind the
 fast path in a bench run.
 """
@@ -14,7 +14,7 @@ fast path in a bench run.
 import json
 from pathlib import Path
 
-from repro.core.cohort import REFERENCE_ENV
+from repro.core.cohort import CohortPopulation
 from repro.experiments.wallclock import (
     BenchReport,
     ScenarioResult,
@@ -54,7 +54,12 @@ class TestCohortStress:
         # The bench-level differential oracle: forcing the per-client
         # path must reproduce the vectorized checksum byte for byte.
         vectorized = run_scenario("cohort_stress", seed=0, quick=True)
-        monkeypatch.setenv(REFERENCE_ENV, "1")
+        run = CohortPopulation.run
+        monkeypatch.setattr(
+            CohortPopulation,
+            "run",
+            lambda self, sim=None, **_: run(self, sim, vectorized=False),
+        )
         reference = run_scenario("cohort_stress", seed=0, quick=True)
         assert reference.extra["path"] == "reference"
         assert reference.checksum == vectorized.checksum

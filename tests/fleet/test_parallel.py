@@ -17,8 +17,6 @@ from repro.experiments.sweep import shutdown_pool
 from repro.fleet import FleetConfig, FleetDeployment
 from repro.fleet.parallel import (
     FLEET_JOBS_ENV,
-    FLEET_MIN_NODES_ENV,
-    fleet_parallel_threshold,
     resolve_fleet_jobs,
     run_node_work,
 )
@@ -142,12 +140,6 @@ class TestFallbacksAndKnobs:
         monkeypatch.setenv(FLEET_JOBS_ENV, "3")
         assert resolve_fleet_jobs(None) == 3
         assert resolve_fleet_jobs(5) == 5
-
-    def test_min_nodes_env(self, monkeypatch):
-        monkeypatch.delenv(FLEET_MIN_NODES_ENV, raising=False)
-        assert fleet_parallel_threshold() == 2
-        monkeypatch.setenv(FLEET_MIN_NODES_ENV, "0")
-        assert fleet_parallel_threshold() == 0
 
 
 class TestPoolReuse:

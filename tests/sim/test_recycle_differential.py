@@ -1,18 +1,22 @@
-"""Recycled vs allocating defer-path differential.
+"""Recycled vs allocating defer-path differential, and allocation reuse.
 
 ``Simulator.defer`` recycles spent ``_Deferred`` records through a
-free list; ``Simulator(recycle=False)`` (or ``REPRO_EVENT_RECYCLE=0``)
-keeps the pre-recycling allocation path alive as the differential
-reference. Recycling is pure mechanism: for any schedule — including
-same-timestamp ties, re-entrant defers from inside a firing callback,
-failed events, and cancelled periodic timers — the two modes must
-execute the identical callback sequence at the identical times.
+free list; ``Simulator(recycle=False)`` keeps the pre-recycling
+allocation path alive as the differential reference. Recycling is pure
+mechanism: for any schedule — including same-timestamp ties,
+re-entrant defers from inside a firing callback, failed events, and
+cancelled periodic timers — the two modes must execute the identical
+callback sequence at the identical times. On the real workload (the
+quick scale_stress shape) the free list must serve nearly every defer.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import RECYCLE_ENV, Event, Simulator
+from repro.core import SystemMode, build_system
+from repro.experiments.wallclock import _scale_workload
+from repro.hardware import HeterogeneousPlatform
+from repro.sim.engine import Event, Simulator
 
 #: Delay palette biased toward 0.0 so schedules are dense with
 #: same-timestamp ties (ordering then rides entirely on seq).
@@ -81,14 +85,9 @@ class TestRecycleDifferential:
         assert sim.deferred_reuses == 0
         assert sim.deferred_allocations > 0
 
-    def test_env_gate_disables_recycling(self, monkeypatch):
-        monkeypatch.setenv(RECYCLE_ENV, "0")
-        sim = Simulator()
-        assert sim._recycle is False
-        monkeypatch.setenv(RECYCLE_ENV, "1")
+    def test_recycling_is_on_by_default(self):
         assert Simulator()._recycle is True
-        monkeypatch.delenv(RECYCLE_ENV)
-        assert Simulator()._recycle is True
+        assert Simulator(recycle=False)._recycle is False
 
     def test_tie_heavy_chain_mostly_reuses(self):
         # Steady-state chained defers should be near-allocation-free:
@@ -118,3 +117,41 @@ class TestRecycleDifferential:
         sim.run()
         assert [ev.value for ev in events] == list(range(5))
         assert all(ev._state == Event.PROCESSED for ev in events)
+
+
+class TestAllocationReuse:
+    def test_scale_quick_mostly_recycles_deferred_records(self):
+        # The zero-allocation contract on the real workload (the quick
+        # scale_stress shape): steady-state defer traffic must be
+        # served overwhelmingly from the free list, not the allocator.
+        runtime, records = _scale_workload(seed=0, n_clients=250, background=25)
+        sim = runtime.platform.sim
+        assert all(rec.finished for rec in records)
+        assert sim.deferred_reuses > 0
+        total = sim.deferred_reuses + sim.deferred_allocations
+        assert sim.deferred_reuses / total > 0.95, (
+            f"free list served only {sim.deferred_reuses}/{total} defers"
+        )
+
+    def test_recycling_disabled_allocates_every_record(self):
+        sim = Simulator(recycle=False)
+        apps = ["digit.500", "facedet.320"]
+        runtime = build_system(
+            apps, seed=0, platform=HeterogeneousPlatform(sim=sim, seed=0)
+        )
+        load = runtime.launch_background(5)
+        handles = [
+            runtime.launch(
+                apps[index % len(apps)],
+                seed=index,
+                mode=SystemMode.XAR_TREK,
+                calls=3,
+                delay_s=0.5 * index,
+            )
+            for index in range(40)
+        ]
+        records = runtime.wait_all(handles)
+        load.stop()
+        assert all(rec.finished for rec in records)
+        assert sim.deferred_reuses == 0
+        assert sim.deferred_allocations > 0

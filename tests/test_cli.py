@@ -128,3 +128,13 @@ class TestThresholds:
         assert main(["thresholds", "--apps", "digit.2000", "cg.A"]) == 0
         out = capsys.readouterr().out
         assert "digit.2000" in out and "cg.A" in out
+
+
+class TestBench:
+    def test_unknown_scenario_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--scenarios", "nosuch", "--json", "-"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "invalid choice: 'nosuch'" in captured.err
+        assert "Traceback" not in captured.out + captured.err
