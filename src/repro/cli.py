@@ -598,38 +598,44 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from repro.core.cohort import ArrivalLaw, CohortSpec
-    from repro.fleet import FleetConfig, FleetDeployment
+    from repro.core.cohort import ArrivalLaw, CohortError, CohortSpec
+    from repro.fleet import FleetConfig, FleetDeployment, FleetError
 
     apps = tuple(sorted(set(args.apps or PAPER_BENCHMARKS)))
     laws = ("uniform", "poisson", "staggered")
     rng = np.random.default_rng(args.seed)
     per_app = args.clients // len(apps)
     specs = []
-    for index, app in enumerate(apps):
-        clients = per_app + (args.clients - per_app * len(apps) if index == 0 else 0)
-        specs.append(
-            CohortSpec(
-                app,
-                clients,
-                calls=args.calls,
-                arrival=ArrivalLaw(
-                    laws[index % len(laws)],
-                    start=float(rng.uniform(0.0, 5.0)),
-                    span=30.0,
-                ),
-                seed=int(rng.integers(2**32)),
+    try:
+        for index, app in enumerate(apps):
+            clients = per_app + (
+                args.clients - per_app * len(apps) if index == 0 else 0
+            )
+            specs.append(
+                CohortSpec(
+                    app,
+                    clients,
+                    calls=args.calls,
+                    arrival=ArrivalLaw(
+                        laws[index % len(laws)],
+                        start=float(rng.uniform(0.0, 5.0)),
+                        span=30.0,
+                    ),
+                    seed=int(rng.integers(2**32)),
+                )
+            )
+        fleet = FleetDeployment(
+            FleetConfig(
+                nodes=args.nodes,
+                apps=apps,
+                seed=args.seed,
+                gossip_interval_s=args.gossip_interval,
             )
         )
+    except (CohortError, FleetError) as exc:
+        print(f"fleet: {exc}", file=sys.stderr)
+        return 2
 
-    fleet = FleetDeployment(
-        FleetConfig(
-            nodes=args.nodes,
-            apps=apps,
-            seed=args.seed,
-            gossip_interval_s=args.gossip_interval,
-        )
-    )
     fault_plans = None
     if args.faults:
         from repro.faults import FleetFaultPlan

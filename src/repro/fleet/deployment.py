@@ -24,7 +24,7 @@ Determinism contract (tested):
 * replaying the same config replays every record and counter.
 
 Cohort-scale populations (the 10k-client ``fleet_stress`` shape) are
-sharded across nodes at *assignment time*: clients are walked in global
+sharded across nodes at *assignment time*: clients are taken in global
 arrival order, the router's load view refreshes only at gossip-interval
 boundaries (the stale-load model, quantized), and each node then runs
 its assigned sub-cohorts through the vectorized
@@ -35,7 +35,6 @@ of the fleet's hardware clock by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -51,6 +50,7 @@ from repro.core.cohort import (
 from repro.core.runtime import build_system
 from repro.fleet.gossip import GossipBus
 from repro.fleet.node import FleetNode
+from repro.fleet.pairs import choice_pairs
 from repro.fleet.router import FleetRouter
 from repro.hardware.interconnect import Link, LinkSpec
 from repro.hardware.platform import HeterogeneousPlatform
@@ -291,10 +291,14 @@ class FleetDeployment:
     ) -> tuple[list[list[CohortSpec]], list[int]]:
         """Assign every client of every spec to a node on stale load.
 
-        Clients are walked in global arrival order; the router's
+        Clients are taken in global arrival order; the router's
         per-node client-count view refreshes only at gossip-interval
         boundaries (each client's observed staleness is recorded), and
-        placement is power-of-two-choices over that stale view. Each
+        placement is power-of-two-choices over that stale view. Since
+        the view is constant within an interval, placement runs one
+        interval at a time on arrays, with the node pairs block-drawn
+        exactly as per-client ``rng.choice(n, 2, replace=False)`` calls
+        would draw them (:func:`~repro.fleet.pairs.choice_pairs`). Each
         node's sub-spec keeps its clients in original client-index
         order with their exact arrival times (``explicit`` law), so a
         1-node fleet reproduces the original cohort bit for bit.
@@ -303,59 +307,72 @@ class FleetDeployment:
         """
         specs = tuple(specs)
         n = len(self.nodes)
-        arrivals = [sample_arrivals(spec) for spec in specs]
-        order = sorted(
-            (float(arr[ci]), si, ci)
-            for si, arr in enumerate(arrivals)
-            for ci in range(len(arr))
-        )
-        interval = self.config.gossip_interval_s
-        # A fresh derived generator per call (not the cached stateful
-        # stream): sharding is a pure function of (config, specs), so
-        # inspecting a sharding with shard_cohorts() and then running
-        # run_cohorts() executes exactly the sharding inspected.
-        rng = self._streams.spawn("cohort-shard").stream("assign")
-        true_counts = [0] * n
-        stale_counts = [0] * n
-        last_boundary = 0.0
-        assignment = [np.zeros(len(arr), dtype=np.int64) for arr in arrivals]
-        for t, si, ci in order:
-            boundary = math.floor(t / interval) * interval
-            if boundary > last_boundary:
-                stale_counts = list(true_counts)
-                last_boundary = boundary
-            self.gossip.record_staleness(t - last_boundary)
-            if n == 1:
-                node = 0
-            else:
-                i, j = rng.choice(n, size=2, replace=False)
-                i, j = int(i), int(j)
-                if stale_counts[i] < stale_counts[j]:
-                    node = i
-                elif stale_counts[j] < stale_counts[i]:
-                    node = j
-                else:
-                    node = min(i, j)
-            true_counts[node] += 1
-            assignment[si][ci] = node
-
         per_node: list[list[CohortSpec]] = [[] for _ in range(n)]
-        for si, spec in enumerate(specs):
-            for node in range(n):
-                indexes = np.flatnonzero(assignment[si] == node)
-                if not len(indexes):
-                    continue
-                times = tuple(float(arrivals[si][ci]) for ci in indexes)
-                per_node[node].append(
-                    CohortSpec(
-                        app=spec.app,
-                        clients=len(times),
-                        calls=spec.calls,
-                        arrival=ArrivalLaw(kind="explicit", times=times),
-                        seed=spec.seed,
-                    )
+        if not specs:
+            return per_node, [0] * n
+        arrivals = [sample_arrivals(spec) for spec in specs]
+        sizes = [len(arr) for arr in arrivals]
+        times = np.concatenate(arrivals)
+        spec_of = np.repeat(np.arange(len(specs)), sizes)
+        client_of = np.concatenate([np.arange(size) for size in sizes])
+        # Global arrival order, ties broken by (spec, client) index.
+        order = np.lexsort((client_of, spec_of, times))
+        t = times[order]
+        m = len(t)
+        interval = self.config.gossip_interval_s
+        # The load view last refreshed at the latest gossip boundary
+        # reached (arrivals are sorted, so boundaries never decrease);
+        # before the first positive boundary it is the all-zero view.
+        boundary = np.floor(t / interval) * interval
+        refreshed = np.where(boundary > 0.0, boundary, 0.0)
+        self.gossip.record_staleness(t - refreshed)
+
+        node = np.zeros(m, dtype=np.int64)
+        if n > 1:
+            # A fresh derived generator per call (not the cached stateful
+            # stream): sharding is a pure function of (config, specs), so
+            # inspecting a sharding with shard_cohorts() and then running
+            # run_cohorts() executes exactly the sharding inspected.
+            rng = self._streams.spawn("cohort-shard").stream("assign")
+            first, second = choice_pairs(rng, n, m)
+            counts = np.zeros(n, dtype=np.int64)
+            # Power of two choices over the stale view, one gossip
+            # interval at a time: less loaded wins, ties to the lower index.
+            cuts = np.flatnonzero(refreshed[1:] != refreshed[:-1]) + 1
+            for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), m]):
+                i, j = first[lo:hi], second[lo:hi]
+                load_i, load_j = counts[i], counts[j]
+                pick = np.where(
+                    load_i < load_j,
+                    i,
+                    np.where(load_j < load_i, j, np.minimum(i, j)),
                 )
-        return per_node, true_counts
+                node[lo:hi] = pick
+                counts += np.bincount(pick, minlength=n)
+
+        # One grouping pass: clients by (node, spec), each group in
+        # client-index order with its exact arrival times.
+        assigned = np.empty(m, dtype=np.int64)
+        assigned[order] = node
+        key = assigned * len(specs) + spec_of
+        grouped = np.argsort(key, kind="stable")
+        sorted_key = key[grouped]
+        cuts = np.flatnonzero(sorted_key[1:] != sorted_key[:-1]) + 1
+        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), m]):
+            target, si = divmod(int(sorted_key[lo]), len(specs))
+            spec = specs[si]
+            per_node[target].append(
+                CohortSpec(
+                    app=spec.app,
+                    clients=hi - lo,
+                    calls=spec.calls,
+                    arrival=ArrivalLaw(
+                        kind="explicit", times=tuple(times[grouped[lo:hi]].tolist())
+                    ),
+                    seed=spec.seed,
+                )
+            )
+        return per_node, np.bincount(node, minlength=n).tolist()
 
     def run_cohorts(
         self,

@@ -20,7 +20,7 @@ caller expects ``sim.run()`` to drain the event queue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.metrics import MetricsRegistry
 from repro.sim import PeriodicCall, Simulator
@@ -192,13 +192,14 @@ class GossipBus:
     def observe_staleness(self, digest: LoadDigest) -> float:
         """Record (and return) how stale ``digest`` is right now."""
         staleness = self.sim.now - digest.published_at
-        self.record_staleness(staleness)
+        self._m_staleness.observe(staleness)
         return staleness
 
-    def record_staleness(self, seconds: float) -> None:
-        """Record a staleness observation directly (the cohort shard
-        path quantizes assignment times to gossip boundaries itself)."""
-        self._m_staleness.observe(seconds)
+    def record_staleness(self, seconds: Sequence[float]) -> None:
+        """Record staleness observations directly, in order (the cohort
+        shard path quantizes assignment times to gossip boundaries
+        itself)."""
+        self._m_staleness.observe_many(seconds)
 
     def load_skew(self) -> float:
         """max - min published load score (0.0 before round 0)."""

@@ -342,6 +342,49 @@ class Histogram(Metric):
             if slot < self.reservoir_size:
                 self._reservoir[slot] = value
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Observe ``values`` in order, leaving the series (count, sum,
+        min, max, buckets, reservoir and its generator) bit-identical
+        to one :meth:`observe` per value. Values must be NaN-free."""
+        self._check_leaf()
+        values = np.asarray(values, dtype=np.float64).ravel()
+        if not len(values):
+            return
+        self._count += len(values)
+        # accumulate adds left to right, exactly like repeated `+=`.
+        self._sum = float(np.add.accumulate(np.append(self._sum, values))[-1])
+        # argmin/argmax pick the first extreme, as the strict
+        # comparisons inside min()/max() keep the first one.
+        low = float(values[np.argmin(values)])
+        high = float(values[np.argmax(values)])
+        if self._min is None or low < self._min:
+            self._min = low
+        if self._max is None or high > self._max:
+            self._max = high
+        added = np.bincount(
+            np.searchsorted(self.buckets, values, side="left"),
+            minlength=len(self._bucket_counts),
+        )
+        self._bucket_counts = [
+            old + int(new) for old, new in zip(self._bucket_counts, added)
+        ]
+        room = self.reservoir_size - len(self._reservoir)
+        self._reservoir.extend(values[:room].tolist())
+        rest = values[room:]
+        if not len(rest):
+            return
+        # Algorithm R: one draw per value, in order, against the count
+        # that value brought the series to; the last write to a slot wins.
+        if self._rng is None:
+            self._rng = _derived_rng(self.name)
+        first_count = self._count - len(rest) + 1
+        slots = self._rng.integers(0, np.arange(first_count, self._count + 1))
+        hit = slots < self.reservoir_size
+        slots, rest = slots[hit][::-1], rest[hit][::-1]
+        unique_slots, last = np.unique(slots, return_index=True)
+        for slot, value in zip(unique_slots.tolist(), rest[last].tolist()):
+            self._reservoir[slot] = value
+
     @property
     def count(self) -> int:
         if self.labelnames:

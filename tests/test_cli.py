@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -138,3 +143,33 @@ class TestBench:
         captured = capsys.readouterr()
         assert "invalid choice: 'nosuch'" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+
+class TestFleetBadInput:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--nodes", "0", "--clients", "20"], "a fleet needs >= 1 node, got 0"),
+            (["--clients", "0"], "clients must be >= 1, got 0"),
+            (["--gossip-interval", "0", "--clients", "20"], "gossip_interval_s"),
+        ],
+    )
+    def test_one_line_and_exit_2(self, capsys, argv, message):
+        assert main(["fleet", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("fleet: ") and message in lines[0]
+        assert "Traceback" not in captured.err
+
+    def test_bad_input_exits_2_from_the_module(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "fleet", "--nodes", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
