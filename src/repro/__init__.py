@@ -22,13 +22,14 @@ Subpackages:
 """
 
 from repro.core import SystemMode, XarTrekRuntime, build_system
-from repro.types import Target
+from repro.types import ReproError, Target
 from repro.workloads import PAPER_BENCHMARKS
 
 __version__ = "1.0.0"
 
 __all__ = [
     "PAPER_BENCHMARKS",
+    "ReproError",
     "SystemMode",
     "Target",
     "XarTrekRuntime",

@@ -30,6 +30,7 @@ from repro.experiments.report import REPORT_FIGURES as _FIGURES
 from repro.experiments.report import REPORT_TABLES as _TABLES
 from repro.experiments.wallclock import available_scenarios
 from repro.popcorn.elf import dump_xelf
+from repro.types import ReproError
 from repro.workloads import PAPER_BENCHMARKS, available_workloads, profile_for
 
 __all__ = ["main"]
@@ -598,43 +599,37 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from repro.core.cohort import ArrivalLaw, CohortError, CohortSpec
-    from repro.fleet import FleetConfig, FleetDeployment, FleetError
+    from repro.core.cohort import ArrivalLaw, CohortSpec
+    from repro.fleet import FleetConfig, FleetDeployment
 
     apps = tuple(sorted(set(args.apps or PAPER_BENCHMARKS)))
     laws = ("uniform", "poisson", "staggered")
     rng = np.random.default_rng(args.seed)
     per_app = args.clients // len(apps)
     specs = []
-    try:
-        for index, app in enumerate(apps):
-            clients = per_app + (
-                args.clients - per_app * len(apps) if index == 0 else 0
-            )
-            specs.append(
-                CohortSpec(
-                    app,
-                    clients,
-                    calls=args.calls,
-                    arrival=ArrivalLaw(
-                        laws[index % len(laws)],
-                        start=float(rng.uniform(0.0, 5.0)),
-                        span=30.0,
-                    ),
-                    seed=int(rng.integers(2**32)),
-                )
-            )
-        fleet = FleetDeployment(
-            FleetConfig(
-                nodes=args.nodes,
-                apps=apps,
-                seed=args.seed,
-                gossip_interval_s=args.gossip_interval,
+    for index, app in enumerate(apps):
+        clients = per_app + (args.clients - per_app * len(apps) if index == 0 else 0)
+        specs.append(
+            CohortSpec(
+                app,
+                clients,
+                calls=args.calls,
+                arrival=ArrivalLaw(
+                    laws[index % len(laws)],
+                    start=float(rng.uniform(0.0, 5.0)),
+                    span=30.0,
+                ),
+                seed=int(rng.integers(2**32)),
             )
         )
-    except (CohortError, FleetError) as exc:
-        print(f"fleet: {exc}", file=sys.stderr)
-        return 2
+    fleet = FleetDeployment(
+        FleetConfig(
+            nodes=args.nodes,
+            apps=apps,
+            seed=args.seed,
+            gossip_interval_s=args.gossip_interval,
+        )
+    )
 
     fault_plans = None
     if args.faults:
@@ -822,36 +817,35 @@ def _cmd_thresholds(apps: list[str]) -> int:
     return 0
 
 
+_COMMANDS = {
+    "list": lambda args: _cmd_list(),
+    "table": _cmd_table,
+    "figure": _cmd_figure,
+    "run": _cmd_run,
+    "report": _cmd_report,
+    "compile": _cmd_compile,
+    "thresholds": lambda args: _cmd_thresholds(args.apps),
+    "metrics": _cmd_metrics,
+    "bench": _cmd_bench,
+    "chaos": _cmd_chaos,
+    "traffic": _cmd_traffic,
+    "cohort": _cmd_cohort,
+    "fleet": _cmd_fleet,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    This is the one error boundary: bad input (any :class:`ReproError`)
+    prints ``repro <command>: <message>`` as one stderr line and exits 2.
+    """
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "table":
-        return _cmd_table(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "compile":
-        return _cmd_compile(args)
-    if args.command == "thresholds":
-        return _cmd_thresholds(args.apps)
-    if args.command == "metrics":
-        return _cmd_metrics(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "traffic":
-        return _cmd_traffic(args)
-    if args.command == "cohort":
-        return _cmd_cohort(args)
-    if args.command == "fleet":
-        return _cmd_fleet(args)
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

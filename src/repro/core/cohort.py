@@ -65,7 +65,7 @@ from repro.core.server import DEFAULT_SOCKET_LATENCY_S, SchedulerServer, ServerS
 from repro.metrics import MetricsRegistry
 from repro.sim import Simulator
 from repro.thresholds import ThresholdTable
-from repro.types import Target
+from repro.types import ReproError, Target
 from repro.workloads import profile_for
 
 __all__ = [
@@ -91,7 +91,7 @@ _FPGA = int(Target.FPGA)
 _ARRIVAL_KINDS = ("uniform", "staggered", "poisson", "explicit")
 
 
-class CohortError(Exception):
+class CohortError(ReproError):
     """Raised for malformed cohort specs or misuse of the population."""
 
 

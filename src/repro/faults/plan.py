@@ -22,10 +22,12 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from repro.types import ReproError
+
 __all__ = ["FAULT_KINDS", "FaultPlanError", "FaultSpec", "FaultPlan"]
 
 
-class FaultPlanError(Exception):
+class FaultPlanError(ReproError):
     """Raised for malformed fault specs or plan payloads."""
 
 
@@ -231,8 +233,11 @@ class FaultPlan:
 
     @classmethod
     def from_file(cls, path: str) -> "FaultPlan":
-        with open(path) as handle:
-            return cls.from_json(handle.read())
+        try:
+            with open(path) as handle:
+                return cls.from_json(handle.read())
+        except OSError as exc:
+            raise FaultPlanError(f"cannot read fault plan {path}: {exc}") from exc
 
     # -- generation --------------------------------------------------------
     @classmethod

@@ -57,6 +57,7 @@ from repro.hardware.platform import HeterogeneousPlatform
 from repro.metrics import MetricsRegistry
 from repro.popcorn.dsm import DSM
 from repro.sim import Event, RandomStreams, Simulator
+from repro.types import ReproError
 from repro.workloads import PAPER_BENCHMARKS
 
 __all__ = [
@@ -73,7 +74,7 @@ __all__ = [
 DATACENTER_FABRIC = LinkSpec("fabric", bandwidth_bytes_per_s=1.25e9, latency_s=50e-6)
 
 
-class FleetError(Exception):
+class FleetError(ReproError):
     """Raised for malformed fleet configs or misuse of a deployment."""
 
 

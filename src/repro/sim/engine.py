@@ -6,6 +6,12 @@ generator-based processes (see :mod:`repro.sim.process`) advance by
 yielding events. Determinism is guaranteed by breaking timestamp ties
 with a monotonically increasing sequence number, so two simulations with
 the same seed replay identically.
+
+Fire-and-forget timers (:meth:`Simulator.defer`) recycle their records
+through a free list, so a steady-state run stops allocating for them.
+The free list is pure mechanism: tests/sim/test_recycle_differential.py
+holds it to a test-only allocating ``defer`` over tie-dense, re-entrant,
+failing and cancelled schedules.
 """
 
 from __future__ import annotations
@@ -204,9 +210,7 @@ class _Deferred:
         # this very record back off the free list.
         self._fn = None
         self._arg = None
-        sim = self.sim
-        if sim._recycle:
-            sim._free.append(self)
+        self.sim._free.append(self)
         if arg is _NO_ARG:
             fn()
         else:
@@ -275,15 +279,11 @@ class Simulator:
         "_active_process",
         "events_processed",
         "_free",
-        "_recycle",
         "deferred_allocations",
         "deferred_reuses",
     )
 
-    def __init__(self, recycle: bool = True):
-        """``recycle=False`` turns off the :meth:`defer` free list, so
-        every deferred call allocates a fresh record — the allocation
-        path kept as a differential-testing reference."""
+    def __init__(self):
         self.now: float = 0.0
         #: Binary heap of ``(at, seq, event)`` tuples; ``seq`` breaks
         #: timestamp ties in schedule order.
@@ -297,7 +297,6 @@ class Simulator:
         #: exposing its effectiveness (tested: a long run must mostly
         #: reuse rather than allocate).
         self._free: list = []
-        self._recycle = recycle
         self.deferred_allocations: int = 0
         self.deferred_reuses: int = 0
 

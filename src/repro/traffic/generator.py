@@ -38,6 +38,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.core.cohort import ArrivalLaw, CohortSpec
+from repro.types import ReproError
 
 __all__ = [
     "SpikeWindow",
@@ -53,7 +54,7 @@ __all__ = [
 TRACE_SCHEMA = "xar-trek-traffic-trace/1"
 
 
-class TrafficError(Exception):
+class TrafficError(ReproError):
     """Raised for malformed traffic specs or trace files."""
 
 

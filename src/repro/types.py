@@ -1,5 +1,8 @@
 """Shared core types.
 
+:class:`ReproError` is the base of every bad-input error the package
+raises; the CLI reports one as a single line and exits 2.
+
 :class:`Target` mirrors the paper's migration-flag encoding
 (Section 3.2): 0 = x86 (do not migrate), 1 = ARM (software migration via
 Popcorn), 2 = FPGA (hardware migration via XRT).
@@ -9,7 +12,11 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["Target"]
+__all__ = ["ReproError", "Target"]
+
+
+class ReproError(Exception):
+    """Bad input or misuse, reported to a CLI user as one line."""
 
 
 class Target(enum.IntEnum):

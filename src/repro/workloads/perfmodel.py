@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 from repro.hardware.interconnect import ETHERNET_1GBPS, PCIE_GEN3_X16, LinkSpec
+from repro.types import ReproError
 
 __all__ = [
     "WorkloadProfile",
@@ -28,6 +29,7 @@ __all__ = [
     "profile_for",
     "all_profiles",
     "CalibrationError",
+    "UnknownWorkloadError",
 ]
 
 
@@ -320,6 +322,15 @@ def _bfs_profile(n_nodes: int) -> WorkloadProfile:
     )
 
 
+class UnknownWorkloadError(ReproError, KeyError):
+    """No calibrated profile for a workload name (still a KeyError for
+    mapping-style callers)."""
+
+    def __str__(self) -> str:
+        # KeyError would repr() the message; print it as written.
+        return str(self.args[0])
+
+
 def profile_for(name: str) -> WorkloadProfile:
     """The calibrated profile for a workload name.
 
@@ -331,9 +342,9 @@ def profile_for(name: str) -> WorkloadProfile:
         try:
             n_nodes = int(name.split(".", 1)[1])
         except ValueError:
-            raise KeyError(f"bad BFS profile name {name!r}") from None
+            raise UnknownWorkloadError(f"bad BFS profile name {name!r}") from None
         return _bfs_profile(n_nodes)
-    raise KeyError(f"no profile for workload {name!r}")
+    raise UnknownWorkloadError(f"no profile for workload {name!r}")
 
 
 def all_profiles() -> dict[str, WorkloadProfile]:

@@ -1,35 +1,66 @@
-"""Chain-path vs generator-path differential oracle.
+"""Golden digests of the client lifecycle.
 
-``ApplicationRun.start`` is backed by two equivalent implementations:
-the default precompiled callback chain (``_chain_begin`` and friends)
-and the original generator process (``_body``), kept verbatim as the
-differential reference and selected with ``REPRO_CLIENT_PATH=generator``.
-These tests pin the equivalence contract: for any workload shape, the
-two paths must produce byte-identical run records and leave the
-threshold table in the same state.
+``ApplicationRun.start`` drives each run through one precompiled
+callback chain (``_chain_begin`` and friends). Until commit
+``75ae8b9`` a second implementation, the original generator process
+(``_body``), lived beside it as a differential reference. On that
+commit both paths were run over the three workload shapes below — a
+mixed XAR_TREK workload, all four system modes, and deadline-capped
+runs — and agreed on every digest; the digests were then committed
+here and the generator path deleted.
+
+Each shape pins three sha256 digests:
+
+* ``records``: one line per RunRecord, floats written with ``repr``;
+* ``thresholds``: ``repr`` of both Algorithm 1 thresholds per app;
+* ``metrics``: the registry snapshot as sorted JSON.
+
+A mismatch names the shape and the digest that diverged.
 """
 
-import math
-
-import pytest
+import functools
+import hashlib
 
 from repro.core import SystemMode, build_system
-from repro.core.application import CLIENT_PATH_ENV
+from repro.metrics.export import to_json
+from repro.sim import Process
 
 APPS = ["digit.2000", "facedet.320", "cg.A", "facedet.640"]
 
+ALL_MODES = [
+    SystemMode.XAR_TREK,
+    SystemMode.VANILLA_X86,
+    SystemMode.ALWAYS_FPGA,
+    SystemMode.VANILLA_ARM,
+]
 
-def _lines(records):
-    return [
-        f"{rec.app},{rec.start_s:.9f},{rec.end_s:.9f},{rec.calls_completed},"
-        f"{rec.migrations},{','.join(str(t) for t in rec.targets)}"
-        for rec in records
-    ]
+SHAPES = {
+    "mixed": dict(),
+    "modes": dict(modes=ALL_MODES),
+    "deadline": dict(deadline=True),
+}
+
+GOLDEN = {
+    "mixed": {
+        "records": "e04e0553fb26b664b5411e94b785c5f4124046cf84140f61b5781982fad44ff3",
+        "thresholds": "011948ffe374f2a35bf08fcd5e4b68d3eb2d88ba2ab2f157e04f7c3794fddfbe",
+        "metrics": "50e40569f7d6914b3cc93e6910743f43c6492172ec139b28ae96d128bdbbcd29",
+    },
+    "modes": {
+        "records": "b37e007f4e6192b501ddc6793b481d7477dd757ccba677a5153ad9490e799f4d",
+        "thresholds": "481bac6d7463f799dc24a9d4dea2bea6a9ff4d54d1d13a1cf5b37316fa2bf27c",
+        "metrics": "d9ee7d0f62d1616293bba47484fb266f84914d7a8f622b07ace15f50bfbf6ef1",
+    },
+    "deadline": {
+        "records": "76a50f075aef02d9e71503bbbf2859a3be8ffc3c8c1f4e11567740645c6a30ab",
+        "thresholds": "387e3c7bf347a8dc46f6d711c51465eab9bc6c6f417974027327721d286cb85d",
+        "metrics": "554273e256105bf021bc08b76614def4027ea972d62d8e0f54a744ee6b39a2f0",
+    },
+}
 
 
-def _run_workload(monkeypatch, path, *, deadline=False, modes=None):
-    """One seeded mixed workload under the given client path."""
-    monkeypatch.setenv(CLIENT_PATH_ENV, path)
+def _run_workload(*, deadline=False, modes=None):
+    """One seeded mixed workload of 24 launches over four apps."""
     runtime = build_system(APPS, seed=7)
     load = runtime.launch_background(10)
     handles = []
@@ -50,58 +81,68 @@ def _run_workload(monkeypatch, path, *, deadline=False, modes=None):
     return runtime, records
 
 
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _digests(runtime, records):
+    record_lines = "\n".join(
+        f"{rec.app},{rec.mode.value},{rec.seed},{rec.start_s!r},{rec.end_s!r},"
+        f"{rec.calls_completed},{rec.migrations},{rec.fpga_fallbacks},"
+        f"{rec.retries},{rec.deadline_s!r},{rec.shed_reason},"
+        f"{'/'.join(str(t) for t in rec.targets)}"
+        for rec in records
+    )
+    table = runtime.server.thresholds
+    threshold_lines = "\n".join(
+        f"{app} {table.entry(app).fpga_threshold!r} {table.entry(app).arm_threshold!r}"
+        for app in APPS
+    )
+    return {
+        "records": _sha(record_lines),
+        "thresholds": _sha(threshold_lines),
+        "metrics": _sha(to_json(runtime.metrics)),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _shape_digests(shape):
+    runtime, records = _run_workload(**SHAPES[shape])
+    assert all(rec.finished for rec in records), shape
+    return _digests(runtime, records)
+
+
+def _assert_golden(shape, keys):
+    got = _shape_digests(shape)
+    for key in keys:
+        assert got[key] == GOLDEN[shape][key], f"shape {shape!r}: {key} digest diverged"
+
+
 class TestChainGeneratorEquivalence:
-    def test_mixed_workload_records_are_bit_identical(self, monkeypatch):
-        _, chain = _run_workload(monkeypatch, "chain")
-        _, generator = _run_workload(monkeypatch, "generator")
-        assert _lines(chain) == _lines(generator)
+    """The chain path reproduces what both paths produced when they
+    still coexisted and agreed."""
 
-    def test_all_system_modes_agree(self, monkeypatch):
-        modes = [
-            SystemMode.XAR_TREK,
-            SystemMode.VANILLA_X86,
-            SystemMode.ALWAYS_FPGA,
-            SystemMode.VANILLA_ARM,
-        ]
-        _, chain = _run_workload(monkeypatch, "chain", modes=modes)
-        _, generator = _run_workload(monkeypatch, "generator", modes=modes)
-        assert _lines(chain) == _lines(generator)
+    def test_mixed_workload_records_are_bit_identical(self):
+        _assert_golden("mixed", ("records", "metrics"))
 
-    def test_deadline_runs_agree(self, monkeypatch):
-        # Deadline-capped runs exercise the early-exit arcs of the
-        # lifecycle state machine (no Algorithm 1 pass at exit).
-        _, chain = _run_workload(monkeypatch, "chain", deadline=True)
-        _, generator = _run_workload(monkeypatch, "generator", deadline=True)
-        assert _lines(chain) == _lines(generator)
+    def test_all_system_modes_agree(self):
+        _assert_golden("modes", ("records", "metrics"))
 
-    def test_threshold_tables_agree(self, monkeypatch):
-        # Algorithm 1 runs at client exit on both paths; the refined
-        # table is observable scheduler state and must not diverge.
-        chain_rt, _ = _run_workload(monkeypatch, "chain")
-        generator_rt, _ = _run_workload(monkeypatch, "generator")
-        chain_table = chain_rt.server.thresholds
-        generator_table = generator_rt.server.thresholds
-        for app in APPS:
-            chain_entry = chain_table.entry(app)
-            generator_entry = generator_table.entry(app)
-            assert math.isclose(
-                chain_entry.fpga_threshold, generator_entry.fpga_threshold
-            ), app
-            assert math.isclose(
-                chain_entry.arm_threshold, generator_entry.arm_threshold
-            ), app
+    def test_deadline_runs_agree(self):
+        _assert_golden("deadline", ("records", "metrics"))
 
-    def test_chain_is_the_default_path(self, monkeypatch):
-        monkeypatch.delenv(CLIENT_PATH_ENV, raising=False)
+    def test_threshold_tables_agree(self):
+        # Algorithm 1 runs at client exit (and is skipped for
+        # deadline-capped runs); the refined table is observable
+        # scheduler state.
+        for shape in SHAPES:
+            _assert_golden(shape, ("thresholds",))
+
+    def test_chain_is_the_default_path(self):
+        # start() hands back a plain event driven by bound callbacks,
+        # not a generator Process.
         runtime = build_system(["digit.500"], seed=1)
         run = runtime.launch("digit.500", seed=1, mode=SystemMode.XAR_TREK, calls=1)
+        assert not isinstance(run, Process)
         record = runtime.wait_all([run])[0]
         assert record.finished and record.calls_completed == 1
-
-
-class TestPathSelection:
-    @pytest.mark.parametrize("path", ["chain", "generator"])
-    def test_both_paths_complete_every_run(self, monkeypatch, path):
-        _, records = _run_workload(monkeypatch, path)
-        assert all(rec.finished for rec in records)
-        assert all(rec.calls_completed > 0 for rec in records)

@@ -1,14 +1,17 @@
 """Recycled vs allocating defer-path differential, and allocation reuse.
 
 ``Simulator.defer`` recycles spent ``_Deferred`` records through a
-free list; ``Simulator(recycle=False)`` keeps the pre-recycling
-allocation path alive as the differential reference. Recycling is pure
-mechanism: for any schedule — including same-timestamp ties,
-re-entrant defers from inside a firing callback, failed events, and
-cancelled periodic timers — the two modes must execute the identical
-callback sequence at the identical times. On the real workload (the
-quick scale_stress shape) the free list must serve nearly every defer.
+free list. :class:`AllocatingSimulator` below is the pre-recycling
+``defer`` — one fresh record per call, never reused — kept here as the
+differential reference. Recycling is pure mechanism: for any schedule
+— including same-timestamp ties, re-entrant defers from inside a firing
+callback, failed events, and cancelled periodic timers — the two must
+execute the identical callback sequence at the identical times. On the
+real workload (the quick scale_stress shape) the free list must serve
+nearly every defer.
 """
+
+import heapq
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,34 @@ from hypothesis import strategies as st
 from repro.core import SystemMode, build_system
 from repro.experiments.wallclock import _scale_workload
 from repro.hardware import HeterogeneousPlatform
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import _NO_ARG, Event, SimulationError, Simulator
+
+
+class _FreshCall:
+    """A scheduled call that is allocated for one firing and dropped."""
+
+    __slots__ = ("fn", "arg")
+
+    def _process(self):
+        if self.arg is _NO_ARG:
+            self.fn()
+        else:
+            self.fn(self.arg)
+
+
+class AllocatingSimulator(Simulator):
+    """The reference ``defer``: allocate a record per call, no free list."""
+
+    __slots__ = ()
+
+    def defer(self, delay, fn, arg=_NO_ARG):
+        if delay < 0:
+            raise SimulationError(f"negative defer delay {delay!r}")
+        record = _FreshCall()
+        record.fn = fn
+        record.arg = arg
+        self.deferred_allocations += 1
+        heapq.heappush(self._queue, (self.now + delay, next(self._seq), record))
 
 #: Delay palette biased toward 0.0 so schedules are dense with
 #: same-timestamp ties (ordering then rides entirely on seq).
@@ -28,7 +58,7 @@ _OPS = st.tuples(_DELAYS, st.integers(0, 2), st.integers(0, 3))
 
 def _run_plan(plan, recycle):
     """Execute a schedule drawn by hypothesis; return its trace."""
-    sim = Simulator(recycle=recycle)
+    sim = Simulator() if recycle else AllocatingSimulator()
     trace = []
 
     def chained(op_index, depth, delay, fan_out):
@@ -86,8 +116,13 @@ class TestRecycleDifferential:
         assert sim.deferred_allocations > 0
 
     def test_recycling_is_on_by_default(self):
-        assert Simulator()._recycle is True
-        assert Simulator(recycle=False)._recycle is False
+        # A plain Simulator hands a fired record straight back to the
+        # next defer.
+        sim = Simulator()
+        sim.defer(0.0, lambda: sim.defer(0.0, lambda: None))
+        sim.run()
+        assert sim.deferred_allocations == 1
+        assert sim.deferred_reuses == 1
 
     def test_tie_heavy_chain_mostly_reuses(self):
         # Steady-state chained defers should be near-allocation-free:
@@ -134,7 +169,7 @@ class TestAllocationReuse:
         )
 
     def test_recycling_disabled_allocates_every_record(self):
-        sim = Simulator(recycle=False)
+        sim = AllocatingSimulator()
         apps = ["digit.500", "facedet.320"]
         runtime = build_system(
             apps, seed=0, platform=HeterogeneousPlatform(sim=sim, seed=0)

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from repro import ReproError
 from repro.cli import main
 from repro.popcorn import load_xelf
+from repro.workloads import profile_for
 
 
 class TestList:
@@ -71,8 +73,12 @@ class TestRun:
         assert "calls" in out
 
     def test_unknown_app_raises(self):
-        with pytest.raises(KeyError):
-            main(["run", "nonsense.app"])
+        # Library callers still get a KeyError (it is also a
+        # ReproError); the CLI turns it into exit 2 (TestBadInput).
+        with pytest.raises(KeyError) as excinfo:
+            profile_for("nonsense.app")
+        assert isinstance(excinfo.value, ReproError)
+        assert str(excinfo.value) == "no profile for workload 'nonsense.app'"
 
 
 class TestCompile:
@@ -145,6 +151,25 @@ class TestBench:
         assert "Traceback" not in captured.out + captured.err
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "nosuch.1"], "no profile for workload 'nosuch.1'"),
+            (["traffic", "--rate", "-1"], "must be positive, got -1.0"),
+            (["chaos", "--plan", "/nonexistent/plan.json"], "cannot read fault plan"),
+            (["cohort", "--clients", "0"], "clients must be >= 1, got 0"),
+        ],
+    )
+    def test_one_line_and_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {argv[0]}: ") and message in lines[0]
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestFleetBadInput:
     @pytest.mark.parametrize(
         "argv, message",
@@ -160,7 +185,7 @@ class TestFleetBadInput:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("fleet: ") and message in lines[0]
+        assert lines[0].startswith("repro fleet: ") and message in lines[0]
         assert "Traceback" not in captured.err
 
     def test_bad_input_exits_2_from_the_module(self):
