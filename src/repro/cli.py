@@ -28,7 +28,6 @@ from repro.core import SystemMode, build_system
 from repro.core.runtime import spec_for
 from repro.experiments.report import REPORT_FIGURES as _FIGURES
 from repro.experiments.report import REPORT_TABLES as _TABLES
-from repro.experiments.wallclock import available_scenarios
 from repro.popcorn.elf import dump_xelf
 from repro.types import ReproError
 from repro.workloads import PAPER_BENCHMARKS, available_workloads, profile_for
@@ -43,9 +42,44 @@ _MODES = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one ``repro <command>: <message>`` line on
+    stderr and exit 2, like the :class:`ReproError` boundary."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: {message}\n")
+
+
+def _checked(convert, ok, requirement: str):
+    """An argparse type: ``convert`` the text, and refuse a value that
+    fails ``ok`` with a message naming the text the user gave."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda value: value >= 1, "an integer >= 1")
+_non_negative_int = _checked(int, lambda value: value >= 0, "an integer >= 0")
+_positive_float = _checked(float, lambda value: value > 0, "a positive number")
+_unit_interval = _checked(float, lambda value: 0 <= value <= 1, "in [0, 1]")
+_jobs = _checked(
+    lambda text: "auto" if text.strip().lower() == "auto" else int(text),
+    lambda value: value == "auto" or value >= 0,
+    "'auto' or an integer >= 0",
+)
+
+
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
-    """The parallel-sweep knobs shared by figure/table/report/bench."""
-    parser.add_argument("--jobs", default=None, metavar="N",
+    """The parallel-sweep knobs shared by figure/table/report."""
+    parser.add_argument("--jobs", type=_jobs, default=None, metavar="N",
                         help="worker processes for sweep cells (0 or "
                         "'auto' = all CPUs; default: $REPRO_SWEEP_JOBS or 1)")
     parser.add_argument("--cache", default=None, metavar="DIR",
@@ -62,7 +96,7 @@ def _sweep_options(args: argparse.Namespace):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Xar-Trek reproduction: simulate run-time execution "
         "migration among FPGAs and heterogeneous-ISA CPUs.",
@@ -85,11 +119,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one application on the testbed")
     run.add_argument("app", help="workload name, e.g. digit.2000 or bfs.1000")
     run.add_argument("--mode", choices=sorted(_MODES), default="xar-trek")
-    run.add_argument("--background", type=int, default=0,
+    run.add_argument("--background", type=_non_negative_int, default=0,
                      help="MG-B load generators on the x86 host")
-    run.add_argument("--calls", type=int, default=None,
+    run.add_argument("--calls", type=_positive_int, default=None,
                      help="override calls per run (throughput app)")
-    run.add_argument("--deadline", type=float, default=None,
+    run.add_argument("--deadline", type=_positive_float, default=None,
                      help="stop issuing calls after this many seconds")
     run.add_argument("--functional", action="store_true",
                      help="also execute the real kernel and verify")
@@ -116,39 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
     thresholds = sub.add_parser("thresholds", help="print step G's table")
     thresholds.add_argument("--apps", nargs="+", default=list(PAPER_BENCHMARKS))
 
-    bench = sub.add_parser(
-        "bench",
-        help="time seeded figure-style scenarios (wall clock, events/sec)",
-    )
-    bench.add_argument("--scenarios", nargs="+", default=None,
-                       choices=available_scenarios(), metavar="SCENARIO",
-                       help="scenario names (default: all; see --list)")
-    bench.add_argument("--list", action="store_true", dest="list_scenarios",
-                       help="list available scenarios and exit")
-    bench.add_argument("--quick", action="store_true",
-                       help="reduced configs for CI smoke runs")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--json", default="BENCH_wallclock.json", metavar="FILE",
-                       help="write the report here ('-' to skip)")
-    bench.add_argument("--baseline", default=None, metavar="FILE",
-                       help="earlier bench JSON to compute speedups against")
-    bench.add_argument("--guard", default=None, metavar="FILE",
-                       help="committed bench JSON to guard events/sec "
-                       "against; exit 1 on a drop beyond --guard-drop")
-    bench.add_argument("--guard-drop", type=float, default=0.30,
-                       metavar="FRACTION",
-                       help="allowed events/sec drop vs --guard "
-                       "(default: 0.30)")
-    bench.add_argument("--profile", action="store_true",
-                       help="run each scenario under cProfile; the top "
-                       "cumulative-time functions land in the report's "
-                       "per-scenario extra (numbers are for attribution, "
-                       "not speed — incompatible with --guard)")
-    bench.add_argument("--profile-out", default=None, metavar="DIR",
-                       help="with --profile, dump raw <scenario>.pstats "
-                       "files here for pstats/snakeviz drill-down")
-    _add_sweep_flags(bench)
-
     chaos = sub.add_parser(
         "chaos",
         help="run the scale_stress workload under a fault plan and "
@@ -163,25 +164,27 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also write the chaos report as JSON")
     chaos.add_argument("--emit-plan", default=None, metavar="FILE",
                        help="write the (possibly generated) plan here and exit")
-    chaos.add_argument("--jobs", default=None, metavar="N",
+    chaos.add_argument("--jobs", type=_jobs, default=None, metavar="N",
                        help="run the baseline and chaos legs in N>1 pool "
                        "workers (0 or 'auto' = all CPUs; default: "
                        "REPRO_FLEET_JOBS or serial)")
     chaos.add_argument("--traffic", default=None, metavar="FILE",
                        help="replay this traffic trace JSON (see `repro "
                        "traffic`) instead of the seeded workload")
-    chaos.add_argument("--brownout-floor", type=float, default=None,
+    chaos.add_argument("--brownout-floor", type=_unit_interval, default=None,
                        metavar="FRACTION",
                        help="judge by the brownout contract with this "
                        "goodput floor instead of completion_rate == 1.0")
-    chaos.add_argument("--slo-p99", type=float, default=None, metavar="SECONDS",
+    chaos.add_argument("--slo-p99", type=_positive_float, default=None,
+                       metavar="SECONDS",
                        help="score every app in the workload against this "
                        "p99 latency target")
-    chaos.add_argument("--slo-goodput", type=float, default=None,
+    chaos.add_argument("--slo-goodput", type=_unit_interval, default=None,
                        metavar="FRACTION",
                        help="score every app against this deadline-goodput "
                        "floor")
-    chaos.add_argument("--horizon", type=float, default=None, metavar="SECONDS",
+    chaos.add_argument("--horizon", type=_positive_float, default=None,
+                       metavar="SECONDS",
                        help="scenario horizon; refuses plans whose faults "
                        "would fire past it")
 
@@ -206,9 +209,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="diurnal swing in [0, 1); 0 disables it")
     traffic.add_argument("--spike-at", type=float, default=None,
                          metavar="SECONDS", help="flash-crowd spike start")
-    traffic.add_argument("--spike-duration", type=float, default=5.0,
+    traffic.add_argument("--spike-duration", type=_positive_float, default=5.0,
                          metavar="SECONDS")
-    traffic.add_argument("--spike-factor", type=float, default=10.0,
+    traffic.add_argument("--spike-factor", type=_positive_float, default=10.0,
                          help="rate multiplier while the spike is active")
     traffic.add_argument("--calls-alpha", type=float, default=1.5,
                          help="Pareto tail index for session lengths")
@@ -223,12 +226,12 @@ def _build_parser() -> argparse.ArgumentParser:
     traffic.add_argument("--replay", action="store_true",
                          help="replay the trace through the simulated "
                          "deployment and report per-app SLO scores")
-    traffic.add_argument("--background", type=int, default=10,
+    traffic.add_argument("--background", type=_non_negative_int, default=10,
                          help="resident background processes during replay")
-    traffic.add_argument("--slo-p99", type=float, default=None,
+    traffic.add_argument("--slo-p99", type=_positive_float, default=None,
                          metavar="SECONDS",
                          help="with --replay: per-app p99 latency target")
-    traffic.add_argument("--slo-goodput", type=float, default=None,
+    traffic.add_argument("--slo-goodput", type=_unit_interval, default=None,
                          metavar="FRACTION",
                          help="with --replay: per-app deadline-goodput floor")
 
@@ -244,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cohort.add_argument("--apps", nargs="+", default=None,
                         help="applications, one cohort each (default: the "
                         "paper benchmark set)")
-    cohort.add_argument("--background", type=int, default=50,
+    cohort.add_argument("--background", type=_non_negative_int, default=50,
                         help="static background processes on the x86 host")
     cohort.add_argument("--seed", type=int, default=0)
     cohort.add_argument("--reference", action="store_true",
@@ -269,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--apps", nargs="+", default=None,
                        help="applications, one cohort each (default: the "
                        "paper benchmark set)")
-    fleet.add_argument("--background", type=int, default=20,
+    fleet.add_argument("--background", type=_non_negative_int, default=20,
                        help="background processes per node")
     fleet.add_argument("--seed", type=int, default=0)
     fleet.add_argument("--gossip-interval", type=float, default=1.0,
@@ -279,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--faults", action="store_true",
                        help="generate a per-node fault plan (half the "
                        "nodes) and arm it against the run")
-    fleet.add_argument("--jobs", default=None, metavar="N",
+    fleet.add_argument("--jobs", type=_jobs, default=None, metavar="N",
                        help="worker processes for the per-node cohort runs "
                        "(0 or 'auto' = all CPUs; default: REPRO_FLEET_JOBS "
                        "or serial; results are byte-identical either way)")
@@ -520,13 +523,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_cohort(args: argparse.Namespace) -> int:
-    import json
-
+def _cohort_specs(args: argparse.Namespace):
+    """(apps, specs): ``--clients`` split evenly over one cohort per
+    app (the remainder goes to the first), cycling through the uniform,
+    poisson and staggered arrival laws, seeded from ``--seed``."""
     import numpy as np
 
-    from repro.core.cohort import ArrivalLaw, CohortSpec
+    from repro.core.cohort import ArrivalLaw, CohortError, CohortSpec
 
+    if args.clients < 1:
+        raise CohortError(f"clients must be >= 1, got {args.clients}")
     apps = tuple(sorted(set(args.apps or PAPER_BENCHMARKS)))
     laws = ("uniform", "poisson", "staggered")
     rng = np.random.default_rng(args.seed)
@@ -547,6 +553,13 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
                 seed=int(rng.integers(2**32)),
             )
         )
+    return apps, specs
+
+
+def _cmd_cohort(args: argparse.Namespace) -> int:
+    import json
+
+    apps, specs = _cohort_specs(args)
 
     def run(vectorized):
         runtime = build_system(apps, seed=args.seed)
@@ -597,31 +610,9 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import json
 
-    import numpy as np
-
-    from repro.core.cohort import ArrivalLaw, CohortSpec
     from repro.fleet import FleetConfig, FleetDeployment
 
-    apps = tuple(sorted(set(args.apps or PAPER_BENCHMARKS)))
-    laws = ("uniform", "poisson", "staggered")
-    rng = np.random.default_rng(args.seed)
-    per_app = args.clients // len(apps)
-    specs = []
-    for index, app in enumerate(apps):
-        clients = per_app + (args.clients - per_app * len(apps) if index == 0 else 0)
-        specs.append(
-            CohortSpec(
-                app,
-                clients,
-                calls=args.calls,
-                arrival=ArrivalLaw(
-                    laws[index % len(laws)],
-                    start=float(rng.uniform(0.0, 5.0)),
-                    span=30.0,
-                ),
-                seed=int(rng.integers(2**32)),
-            )
-        )
+    apps, specs = _cohort_specs(args)
     fleet = FleetDeployment(
         FleetConfig(
             nodes=args.nodes,
@@ -706,46 +697,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.wallclock import guard_events_per_sec, run_bench
-
-    if args.list_scenarios:
-        for name in available_scenarios():
-            print(name)
-        return 0
-    if args.profile and args.guard:
-        print("bench: --profile inflates wall clocks several-fold; "
-              "refusing to apply the events/sec guard to profiled numbers")
-        return 2
-    if args.profile_out and not args.profile:
-        print("bench: --profile-out requires --profile")
-        return 2
-    jobs, cache = _sweep_options(args)
-    report = run_bench(
-        scenarios=args.scenarios,
-        seed=args.seed,
-        quick=args.quick,
-        baseline=args.baseline,
-        jobs=jobs,
-        cache_dir=cache,
-        profile=args.profile,
-        profile_out=args.profile_out,
-    )
-    print(report.to_text())
-    if args.json and args.json != "-":
-        with open(args.json, "w") as handle:
-            handle.write(report.to_json())
-        print(f"json        : {args.json}")
-    if args.guard:
-        failures = guard_events_per_sec(report, args.guard, max_drop=args.guard_drop)
-        for failure in failures:
-            print(f"GUARD FAIL  : {failure}")
-        if failures:
-            return 1
-        print(f"guard       : events/sec within {args.guard_drop:.0%} of {args.guard}")
-    return 0
-
-
 def _cmd_traffic(args: argparse.Namespace) -> int:
     from repro.traffic import SpikeWindow, Trace, TrafficSpec, generate_trace
 
@@ -826,7 +777,6 @@ _COMMANDS = {
     "compile": _cmd_compile,
     "thresholds": lambda args: _cmd_thresholds(args.apps),
     "metrics": _cmd_metrics,
-    "bench": _cmd_bench,
     "chaos": _cmd_chaos,
     "traffic": _cmd_traffic,
     "cohort": _cmd_cohort,

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.cohort import CohortPopulation, CohortRunResult, CohortSpec
-from repro.experiments.sweep import resolve_jobs
 from repro.thresholds import ThresholdTable
 
 __all__ = [
@@ -61,7 +60,16 @@ _MIN_NODES = 2
 
 def resolve_fleet_jobs(jobs: Optional[int | str] = None) -> int:
     """Normalize the fleet ``--jobs`` value (``REPRO_FLEET_JOBS``
-    fallback, default serial; 0 or ``"auto"`` means all CPUs)."""
+    fallback, default serial; 0 or ``"auto"`` means all CPUs).
+
+    The sweep executor is imported only when there is something to
+    resolve, so neither ``import repro.fleet`` nor an explicit
+    ``jobs=1`` run loads the experiment harness and its process pool.
+    """
+    if isinstance(jobs, int) and jobs >= 1:
+        return jobs
+    from repro.experiments.sweep import resolve_jobs
+
     return resolve_jobs(jobs, env=FLEET_JOBS_ENV)
 
 

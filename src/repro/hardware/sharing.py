@@ -108,6 +108,7 @@ class FairShareServer:
         "_min_jobs",
         "_max_jobs",
         "_transitions",
+        "wakeups",
     )
 
     def __init__(
@@ -142,6 +143,8 @@ class FairShareServer:
         self._min_jobs: Optional[int] = None
         self._max_jobs: Optional[int] = None
         self._transitions = 0
+        #: completion wakeups delivered, stale ones included
+        self.wakeups = 0
 
     # -- queries ---------------------------------------------------------
     @property
@@ -378,6 +381,7 @@ class FairShareServer:
         self.sim.defer(shortest / rate, self._on_completion, self._epoch)
 
     def _on_completion(self, epoch: int) -> None:
+        self.wakeups += 1
         if epoch != self._epoch:
             return  # job set changed since this was scheduled
         # Fully inlined _advance / rate / _record_transition /

@@ -33,8 +33,9 @@ __all__ = [
 ]
 
 
-class CalibrationError(Exception):
-    """Raised when Table 1 numbers cannot be decomposed consistently."""
+class CalibrationError(ReproError):
+    """Raised when Table 1 numbers cannot be decomposed consistently,
+    or a run asks for an impossible shape (e.g. zero calls)."""
 
 
 def _link_time(spec: LinkSpec, nbytes: float) -> float:

@@ -4,8 +4,7 @@ The executor's contract is that *how* cells run (serial, process pool,
 cache) never changes *what* they produce — these tests pin that down
 with byte-level checksums, plus the satellite regressions: seed
 collisions, prebuilt-runtime validation, the persistent worker pool
-(whose absence once made the bench's parallel leg *slower* than
-serial), and the bench baseline schema guard.
+(whose absence once made the parallel leg *slower* than serial).
 """
 
 import os
@@ -38,8 +37,8 @@ from repro.experiments.sweep import (
     warm_pool,
 )
 from repro.experiments import sweep as sweep_module
-from repro.experiments.wallclock import load_report, run_scenario
 from repro.metrics import MetricsRegistry
+from tests.experiments.scenarios import report_sweep_cells
 
 _MODES = (SystemMode.VANILLA_X86, SystemMode.XAR_TREK)
 
@@ -362,23 +361,18 @@ class TestSweepMetrics:
 
 
 class TestBenchIntegration:
-    def test_report_sweep_scenario_records_all_legs(self):
-        result = run_scenario("report_sweep", seed=1, quick=True, jobs=2)
-        extra = result.extra
-        assert extra["jobs"] == 2
-        assert extra["cells"] > 0
-        assert extra["serial_wall_s"] > 0
-        assert extra["parallel_wall_s"] > 0
-        assert extra["warm_cache_wall_s"] > 0
-        assert extra["cache_hits_warm"] == extra["cells"]
-        assert "extra" in result.to_dict()
-
-    def test_baseline_schema_mismatch_is_a_clear_error(self, tmp_path):
-        bad = tmp_path / "old.json"
-        bad.write_text('{"schema": "other-bench/9", "scenarios": []}')
-        with pytest.raises(ValueError, match="schema 'other-bench/9'"):
-            load_report(str(bad))
-        missing = tmp_path / "none.json"
-        missing.write_text('{"scenarios": []}')
-        with pytest.raises(ValueError, match="schema None"):
-            load_report(str(missing))
+    def test_report_sweep_scenario_records_all_legs(self, tmp_path):
+        # The report_sweep grid run three ways: serially, over the
+        # warm two-worker pool into a cold cache, and again from the
+        # warm cache. All three agree byte for byte, and the warm run
+        # is served entirely from the cache.
+        cells = report_sweep_cells(seed=1, quick=True)
+        serial = run_cells(cells, jobs=1)
+        warm_pool(2)
+        cache = SweepCache(tmp_path)
+        parallel = run_cells(cells, jobs=2, cache=cache, min_cells=2)
+        warm = run_cells(cells, jobs=2, cache=cache, min_cells=2)
+        assert parallel.stats.mode == "parallel"
+        assert results_checksum(parallel.results) == results_checksum(serial.results)
+        assert results_checksum(warm.results) == results_checksum(serial.results)
+        assert warm.stats.cache_hits == len(cells)

@@ -1,139 +1,57 @@
-"""The cohort_stress bench scenario: replay determinism and its guard.
+"""The cohort_stress scenario: replay determinism and its reference path.
 
-``cohort_stress`` is the wall-clock proof of the cohort vectorization:
-thousands of clients in a handful of simulator events, with the
-events/sec headline computed over *logical* client events. These tests
-mirror the ``scale_stress`` coverage — same-seed replay must be
-byte-identical, the extra payload must expose the shape the scenario
-promises — plus the property the scenario exists to defend: the
-per-client reference path (``vectorized=False``) produces the
-identical checksum, so a vectorization bug can never hide behind the
-fast path in a bench run.
+``cohort_stress`` runs 10,000 clients through the vectorized cohort
+model in a handful of simulator events. Same-seed replay must be
+byte-identical, and the per-client reference path
+(``vectorized=False``) must produce the identical lines, so a
+vectorization bug cannot hide behind the fast path.
 """
 
-import json
-from pathlib import Path
-
 from repro.core.cohort import CohortPopulation
-from repro.experiments.wallclock import (
-    BenchReport,
-    ScenarioResult,
-    available_scenarios,
-    guard_events_per_sec,
-    run_scenario,
+from tests.experiments.scenarios import (
+    COHORT_CLIENTS,
+    SCENARIOS,
+    checksum,
+    cohort_stress,
+    cohort_stress_result,
 )
+from tests.experiments.test_goldens import GOLDENS
 
 
 class TestCohortStress:
     def test_scenario_is_registered(self):
-        assert "cohort_stress" in available_scenarios()
+        assert "cohort_stress" in SCENARIOS
+        assert "cohort_stress" in GOLDENS
 
     def test_quick_run_is_deterministic_and_cohort_shaped(self):
-        first = run_scenario("cohort_stress", seed=0, quick=True)
-        second = run_scenario("cohort_stress", seed=0, quick=True)
-        assert first.checksum == second.checksum
-        assert first.events == second.events
+        first = cohort_stress_result(seed=0)
+        second = cohort_stress_result(seed=0)
+        assert first.lines() == second.lines()
         assert first.sim_seconds == second.sim_seconds
-        # quick does not shrink this scenario (see the scenario's
-        # docstring): the committed full-size rate must stay comparable.
-        assert first.extra["clients"] == 10_000
-        assert first.extra["cohorts"] >= 2
-        assert first.extra["path"] == "vectorized"
-        # The decoupling the scenario guards: thousands of logical
-        # client events carried by a few dozen simulator events.
-        assert first.events >= first.extra["clients"]
-        assert first.extra["sim_events"] < first.extra["clients"]
-        assert first.extra["fault_fallbacks"] == 0
+        assert first.clients == COHORT_CLIENTS
+        assert len(first.cohorts) >= 2
+        assert first.path == "vectorized"
+        # Thousands of logical client events carried by a few dozen
+        # simulator events.
+        assert first.logical_events >= first.clients
+        assert first.sim_events < first.clients
+        assert first.fault_fallbacks == 0
 
     def test_different_seeds_differ(self):
-        first = run_scenario("cohort_stress", seed=1, quick=True)
-        second = run_scenario("cohort_stress", seed=2, quick=True)
-        assert first.checksum != second.checksum
+        assert checksum(cohort_stress(seed=1)) != checksum(cohort_stress(seed=2))
 
     def test_reference_path_matches_vectorized_checksum(self, monkeypatch):
-        # The bench-level differential oracle: forcing the per-client
-        # path must reproduce the vectorized checksum byte for byte.
-        vectorized = run_scenario("cohort_stress", seed=0, quick=True)
+        vectorized = cohort_stress_result(seed=0)
         run = CohortPopulation.run
         monkeypatch.setattr(
             CohortPopulation,
             "run",
             lambda self, sim=None, **_: run(self, sim, vectorized=False),
         )
-        reference = run_scenario("cohort_stress", seed=0, quick=True)
-        assert reference.extra["path"] == "reference"
-        assert reference.checksum == vectorized.checksum
-        assert reference.events == vectorized.events
+        reference = cohort_stress_result(seed=0)
+        assert reference.path == "reference"
+        assert reference.lines() == vectorized.lines()
+        assert reference.logical_events == vectorized.logical_events
         assert reference.sim_seconds == vectorized.sim_seconds
         # ...at O(clients) simulator events instead of O(cohorts).
-        assert reference.extra["sim_events"] > vectorized.extra["sim_events"]
-
-
-class TestCohortStressGuard:
-    def _report_with_rate(self, events_per_sec):
-        report = BenchReport(seed=0, quick=True)
-        report.results.append(
-            ScenarioResult(
-                name="cohort_stress",
-                wall_s=1.0,
-                events=int(events_per_sec),
-                sim_seconds=1.0,
-                peak_rss_bytes=0,
-                checksum="ab",
-            )
-        )
-        return report
-
-    def _baseline(self, tmp_path, events_per_sec=1_000_000.0):
-        path = tmp_path / "committed.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": "xar-trek-bench/1",
-                    "scenarios": [
-                        {
-                            "name": "cohort_stress",
-                            "wall_s": 1.0,
-                            "events_per_sec": events_per_sec,
-                        }
-                    ],
-                }
-            )
-        )
-        return str(path)
-
-    def test_rate_regression_beyond_threshold_fails(self, tmp_path):
-        baseline = self._baseline(tmp_path)
-        report = self._report_with_rate(500_000.0)  # a 50% drop
-        failures = guard_events_per_sec(report, baseline, max_drop=0.30)
-        assert len(failures) == 1
-        assert "cohort_stress" in failures[0]
-
-    def test_rate_within_threshold_passes(self, tmp_path):
-        baseline = self._baseline(tmp_path)
-        report = self._report_with_rate(800_000.0)  # a 20% drop
-        assert guard_events_per_sec(report, baseline, max_drop=0.30) == []
-
-    def test_live_quick_rate_holds_against_committed_baseline(self, tmp_path):
-        # The exact check CI's bench-smoke job performs, in miniature:
-        # the quick scenario's measured rate against the committed
-        # BENCH_wallclock.json entry with the stock 30% tolerance.
-        committed = Path(__file__).resolve().parents[2] / "BENCH_wallclock.json"
-        # Warm the compile cache first, as the committed figure and
-        # CI's guard invocation (which runs scale_stress, over the
-        # same application set, in the same process) both do — the
-        # guard checks the steady-state rate, not cold-start compile.
-        # The whole run is ~15 ms of wall time, so a single sample is
-        # at the mercy of scheduler noise; guard the best of three,
-        # which measures capability while still catching regressions.
-        run_scenario("cohort_stress", seed=0, quick=True)
-        result = max(
-            (run_scenario("cohort_stress", seed=0, quick=True) for _ in range(3)),
-            key=lambda r: r.events_per_sec,
-        )
-        report = BenchReport(seed=0, quick=True)
-        report.results.append(result)
-        failures = guard_events_per_sec(report, str(committed), max_drop=0.30)
-        assert failures == []
-        # The acceptance floor for the vectorization itself.
-        assert result.events_per_sec >= 500_000
+        assert reference.sim_events > vectorized.sim_events

@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SystemMode, build_system
-from repro.experiments.wallclock import _scale_workload
 from repro.hardware import HeterogeneousPlatform
 from repro.sim.engine import _NO_ARG, Event, SimulationError, Simulator
+from tests.experiments.scenarios import scale_workload
 
 
 class _FreshCall:
@@ -159,7 +159,7 @@ class TestAllocationReuse:
         # The zero-allocation contract on the real workload (the quick
         # scale_stress shape): steady-state defer traffic must be
         # served overwhelmingly from the free list, not the allocator.
-        runtime, records = _scale_workload(seed=0, n_clients=250, background=25)
+        runtime, records = scale_workload(seed=0, n_clients=250, background=25)
         sim = runtime.platform.sim
         assert all(rec.finished for rec in records)
         assert sim.deferred_reuses > 0

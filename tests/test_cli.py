@@ -141,14 +141,57 @@ class TestThresholds:
         assert "digit.2000" in out and "cg.A" in out
 
 
-class TestBench:
-    def test_unknown_scenario_is_a_usage_error(self, capsys):
+class TestArgumentTypes:
+    """Out-of-range flag values are usage errors: exit 2, one stderr
+    line naming the value given, no traceback, nothing run."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "facedet.320", "--calls", "0"],
+             "argument --calls: must be an integer >= 1, got '0'"),
+            (["run", "facedet.320", "--background", "-5"],
+             "argument --background: must be an integer >= 0, got '-5'"),
+            (["chaos", "--quick", "--brownout-floor", "2"],
+             "argument --brownout-floor: must be in [0, 1], got '2'"),
+            (["chaos", "--quick", "--horizon", "-1"],
+             "argument --horizon: must be a positive number, got '-1'"),
+            (["fleet", "--background", "-3"],
+             "argument --background: must be an integer >= 0, got '-3'"),
+            (["fleet", "--jobs", "-2"],
+             "argument --jobs: must be 'auto' or an integer >= 0, got '-2'"),
+            (["traffic", "--spike-factor", "-1"],
+             "argument --spike-factor: must be a positive number, got '-1'"),
+            (["table", "1", "--jobs", "many"],
+             "argument --jobs: must be 'auto' or an integer >= 0, got 'many'"),
+            (["chaos", "--quick", "--slo-goodput", "nan"],
+             "argument --slo-goodput: must be in [0, 1], got 'nan'"),
+        ],
+    )
+    def test_exit_2_with_one_line(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
-            main(["bench", "--scenarios", "nosuch", "--json", "-"])
+            main(argv)
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert "invalid choice: 'nosuch'" in captured.err
-        assert "Traceback" not in captured.out + captured.err
+        assert captured.out == ""
+        assert captured.err == f"repro {argv[0]}: {message}\n"
+
+    def test_cohort_clients_message_names_the_given_total(self, capsys):
+        # Not the per-cohort split (-5 // 5 apps = -1).
+        assert main(["cohort", "--clients", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro cohort: clients must be >= 1, got -5\n"
+
+    def test_bench_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_calibration_error_is_a_repro_error(self):
+        from repro.workloads import CalibrationError
+
+        assert issubclass(CalibrationError, ReproError)
 
 
 class TestBadInput:
